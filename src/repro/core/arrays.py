@@ -58,13 +58,9 @@ class RectArrays:
     def __init__(self, rects: Sequence[Rect]):
         self.rects: tuple[Rect, ...] = tuple(rects)
         n = len(self.rects)
-        width = np.empty(n, dtype=np.float64)
-        height = np.empty(n, dtype=np.float64)
-        release = np.empty(n, dtype=np.float64)
-        for i, r in enumerate(self.rects):
-            width[i] = r.width
-            height[i] = r.height
-            release[i] = r.release
+        width = np.fromiter((r.width for r in self.rects), np.float64, n)
+        height = np.fromiter((r.height for r in self.rects), np.float64, n)
+        release = np.fromiter((r.release for r in self.rects), np.float64, n)
         width.setflags(write=False)
         height.setflags(write=False)
         release.setflags(write=False)

@@ -18,11 +18,11 @@ Round-tripping is exact for ids and floats (no quantisation is applied).
 
 The module also owns the **canonical fingerprint** used by the serving
 layer's content-addressed result cache (:mod:`repro.service`):
-:func:`canonical_instance_dict` reduces an instance to a form that is
-insensitive to rectangle order and to float noise below the shared
-geometric tolerance (:data:`repro.core.tol.ATOL`), :func:`canonical_hash`
-is its SHA-256, and :func:`result_key` combines the hash with an algorithm
-name and its parameter overrides into the cache key for one solve.
+:func:`canonical_hash` is a SHA-256 over the instance's dimension columns
+quantised to the shared geometric tolerance (:data:`repro.core.tol.ATOL`)
+and sorted by rect id, so it ignores rectangle order and float noise, and
+:func:`result_key` combines the hash with an algorithm name and its
+parameter overrides into the cache key for one solve.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ import hashlib
 import json
 import math
 from typing import Any, Mapping
+
+import numpy as np
 
 from .errors import InvalidInstanceError
 from .instance import PrecedenceInstance, ReleaseInstance, StripPackingInstance
@@ -45,7 +47,6 @@ __all__ = [
     "loads_instance",
     "placement_to_dict",
     "placement_from_dict",
-    "canonical_instance_dict",
     "canonical_hash",
     "canonical_params",
     "result_key",
@@ -147,79 +148,82 @@ def _ticks(value: float, atol: float) -> int:
     return int(round(value / atol))
 
 
+#: Quotients at or beyond 2^63 have no int64 tick.
+_TICK_LIMIT = 2.0**63
+
+
 def _canonical_json(value: Any) -> str:
-    """Deterministic JSON used both for hashing and as a sort key."""
+    """Deterministic JSON used for hashing."""
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-def canonical_instance_dict(
-    instance: StripPackingInstance, *, atol: float = ATOL
-) -> dict[str, Any]:
-    """Reduce ``instance`` to its canonical, fingerprint-ready dict.
+def _tick_columns(
+    instance: StripPackingInstance, atol: float
+) -> tuple[tuple[Any, ...], np.ndarray]:
+    """``(rids, ticks)``: the ids and an ``(n, 3)`` int64 array of the
+    ``width``/``height``/``release`` columns on the ``atol`` grid, both in
+    row order.
 
-    Properties the serving cache relies on:
-
-    * **order-insensitive** — rectangles (and precedence edges) are sorted
-      canonically, so permuting ``instance.rects`` does not change the
-      result;
-    * **tolerance-aware** — ``width``/``height``/``release`` are quantised
-      to integer ticks on the ``atol`` grid, so float noise below the
-      library's geometric tolerance maps to the same form;
-    * **variant-complete** — the instance type, ``K`` (release), and the
-      DAG edges (precedence) are part of the form, so instances that would
-      solve differently never collide by construction.
-
-    Ids are preserved verbatim (placements and precedence edges refer to
-    them), which makes the fingerprint intentionally *not* invariant under
-    id renaming.
-
-    At the default ``atol`` the result is cached on the (frozen) instance
-    — the serving hot path canonicalises once per request even though both
-    the cache key and the neighbor sketch need the form.  The memo is
-    bounded to exactly that one entry per instance: a call with a
-    non-default ``atol`` neither reads nor writes it (it computes fresh),
-    so an exotic-tolerance caller can never poison the grid the serving
-    cache keys on.  Callers must treat the returned dict as immutable.
+    ``np.rint`` rounds half to even exactly like :func:`_ticks`, so every
+    entry equals ``_ticks`` of its value.  A quotient with no tick (non-
+    finite, or beyond the int64 range: dimensions above ~9.2e9 at the
+    default ``ATOL``) is rejected.
     """
-    if atol == ATOL:
-        cached = instance.__dict__.get("_canonical_dict")
-        if cached is not None:
-            return cached
-    rects = sorted(
-        (
-            {
-                "id": r.rid,
-                "w": _ticks(r.width, atol),
-                "h": _ticks(r.height, atol),
-                "r": _ticks(r.release, atol),
-            }
-            for r in instance.rects
-        ),
-        key=_canonical_json,
-    )
-    data: dict[str, Any] = {"v": 1, "type": "plain", "rects": rects}
-    if isinstance(instance, ReleaseInstance):
-        data["type"] = "release"
-        data["K"] = instance.K
-    elif isinstance(instance, PrecedenceInstance):
-        data["type"] = "precedence"
-        data["edges"] = sorted(
-            ([u, v] for u, v in instance.dag.edges()), key=_canonical_json
+    arrays = instance.arrays()
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.rint(np.stack((arrays.width, arrays.height, arrays.release), axis=1) / atol)
+    if scaled.size and not (np.abs(scaled).max() < _TICK_LIMIT):
+        raise InvalidInstanceError(
+            "cannot canonicalise a non-finite or out-of-range dimension"
         )
-    if atol == ATOL:
-        object.__setattr__(instance, "_canonical_dict", data)
-    return data
+    return arrays.rids, scaled.astype("<i8")
+
+
+def _id_order(rids: tuple[Any, ...]) -> list[int]:
+    """Row positions sorted by id: natural order when the ids are all
+    ints or all strs (the JSON cases), else by ``(type name, repr)``.
+    Ids are unique (``check_rects``), so either order is total."""
+    kinds = set(map(type, rids))
+    if kinds <= {int} or kinds == {str}:
+        return sorted(range(len(rids)), key=rids.__getitem__)
+    return sorted(range(len(rids)), key=lambda i: (type(rids[i]).__name__, repr(rids[i])))
 
 
 def canonical_hash(instance: StripPackingInstance, *, atol: float = ATOL) -> str:
-    """SHA-256 hex digest of the canonical dict form of ``instance``.
+    """SHA-256 hex digest of the canonical (``v:2``) form of ``instance``.
 
-    Equal canonical dicts hash equal (the digest is a pure function of
-    :func:`canonical_instance_dict`); hash inequality therefore implies the
-    canonical dicts differ.
+    The form is an ASCII JSON header — version, type, ``n``, ``K``
+    (release), the precedence edges as sorted pairs of id positions, and
+    the ids in :func:`_id_order` — followed by the rects' ``(w, h, r)``
+    ticks as little-endian int64, in the same order.  ``n`` fixes the
+    tick buffer's length, so the encoding is unambiguous.  Properties the
+    serving cache relies on:
+
+    * **order-insensitive** — rects (and edges) are sorted by id, so
+      permuting ``instance.rects`` does not change the digest;
+    * **tolerance-aware** — dimensions are quantised to integer ticks on
+      the ``atol`` grid, so float noise below the library's geometric
+      tolerance maps to the same digest;
+    * **variant-complete** — the type, ``K`` and the edges are part of
+      the form, so instances that would solve differently never collide.
+
+    Ids are kept verbatim (placements and edges refer to them), which
+    makes the digest intentionally *not* invariant under id renaming.
     """
-    payload = _canonical_json(canonical_instance_dict(instance, atol=atol))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    rids, ticks = _tick_columns(instance, atol)
+    order = _id_order(rids)
+    header: dict[str, Any] = {"v": 2, "type": "plain", "n": len(rids)}
+    if isinstance(instance, ReleaseInstance):
+        header["type"] = "release"
+        header["K"] = instance.K
+    elif isinstance(instance, PrecedenceInstance):
+        position = {rids[row]: pos for pos, row in enumerate(order)}
+        header["type"] = "precedence"
+        header["edges"] = sorted([position[u], position[v]] for u, v in instance.dag.edges())
+    header["ids"] = [rids[row] for row in order]
+    digest = hashlib.sha256(_canonical_json(header).encode("ascii"))
+    digest.update(ticks[order].tobytes())
+    return digest.hexdigest()
 
 
 def canonical_params(
@@ -313,41 +317,35 @@ def instance_sketch(
 ) -> tuple[str, ...]:
     """Locality-sensitive sketch of ``instance``: a tuple of LSH band keys.
 
-    The sketch is a banded MinHash over the canonical rect entries of
-    :func:`canonical_instance_dict` (id + quantised dims, so the token set
-    changes by exactly the rects a delta touches).  Two instances that
-    share *any* band key are near-duplicate candidates: with
-    ``SKETCH_HASHES=16`` hashes in ``SKETCH_BANDS=4`` bands of 4 rows, a
-    pair at Jaccard similarity ``s`` collides on at least one band with
-    probability ``1-(1-s^4)^4`` — ~97% at ``s=0.9`` (a small delta on a
-    mid-size instance), ~4% at ``s=0.4`` (mostly different rect sets).
+    The sketch is a banded MinHash over one token per rect, ``id`` plus
+    its quantised ``(w, h, r)`` ticks (so the token set changes by exactly
+    the rects a delta touches).  Two instances that share *any* band key
+    are near-duplicate candidates: with ``SKETCH_HASHES=16`` hashes in
+    ``SKETCH_BANDS=4`` bands of 4 rows, a pair at Jaccard similarity ``s``
+    collides on at least one band with probability ``1-(1-s^4)^4`` — ~97%
+    at ``s=0.9`` (a small delta on a mid-size instance), ~4% at ``s=0.4``
+    (mostly different rect sets).
 
     Band keys embed the instance type (and ``K`` for release variants), so
     instances of different variants never collide by construction.  The
-    sketch is a pure function of the canonical dict — order-insensitive
-    and tolerance-aware exactly like :func:`canonical_hash`.
+    minimum over tokens ignores their order, and the ticks are the ones
+    :func:`canonical_hash` reads, so the sketch is order-insensitive and
+    tolerance-aware exactly like the hash.
     """
-    import numpy as np
-
-    canon = canonical_instance_dict(instance, atol=atol)
-    # Tokens are the canonical entries flattened to plain strings (the
-    # entries are {"id", "w", "h", "r"} with integer ticks, so formatting
-    # is lossless) — hashed once each; rows come from the affine mixers.
+    rids, ticks = _tick_columns(instance, atol)
+    # Tokens are hashed once each; rows come from the affine mixers.
     hashes = np.fromiter(
         (
             int.from_bytes(
                 hashlib.blake2b(
-                    f"{entry['id']!r}|{entry['w']}|{entry['h']}|{entry['r']}".encode(
-                        "utf-8"
-                    ),
-                    digest_size=8,
+                    f"{rid!r}|{w}|{h}|{r}".encode("utf-8"), digest_size=8
                 ).digest(),
                 "big",
             )
-            for entry in canon["rects"]
+            for rid, (w, h, r) in zip(rids, ticks.tolist())
         ),
         dtype=np.uint64,
-        count=len(canon["rects"]),
+        count=len(rids),
     )
     if hashes.size:
         signature = [
@@ -355,7 +353,10 @@ def instance_sketch(
         ]
     else:
         signature = [_SKETCH_MAX] * SKETCH_HASHES
-    variant = canon["type"] if canon["type"] != "release" else f"release/{canon['K']}"
+    if isinstance(instance, ReleaseInstance):
+        variant = f"release/{instance.K}"
+    else:
+        variant = "precedence" if isinstance(instance, PrecedenceInstance) else "plain"
     rows = SKETCH_HASHES // SKETCH_BANDS
     bands = []
     for band in range(SKETCH_BANDS):
@@ -389,10 +390,8 @@ def instance_delta(
     """
 
     def entries(instance: StripPackingInstance) -> dict[Any, tuple[int, int, int]]:
-        return {
-            r.rid: (_ticks(r.width, atol), _ticks(r.height, atol), _ticks(r.release, atol))
-            for r in instance.rects
-        }
+        rids, ticks = _tick_columns(instance, atol)
+        return dict(zip(rids, map(tuple, ticks.tolist())))
 
     old_entries, new_entries = entries(old), entries(new)
     added = sorted(set(new_entries) - set(old_entries), key=str)

@@ -4,8 +4,11 @@
 (each a full :class:`~repro.service.server.SolveServer`, see
 :mod:`repro.service.worker`).  Every ``/solve`` and ``/portfolio`` body is
 resolved to its canonical content-addressed ``result_key`` — the *same*
-resolution the worker performs — and the key is consistent-hashed over a
-:class:`HashRing` of workers.  Key affinity is the whole game: one key
+resolution a solo server performs — and the key is consistent-hashed over
+a :class:`HashRing` of workers.  The key then rides the internal hop in
+``X-Repro-Key``, vouched for by a per-fleet token, so the worker looks it
+up without parsing the body again: each request is resolved once.  Key
+affinity is the whole game: one key
 always lands on one worker, so that worker's in-memory LRU is an
 effective L1 cache and its in-flight coalescing still collapses
 concurrent identical misses, even though the fleet shares nothing but a
@@ -68,6 +71,7 @@ import logging
 import multiprocessing
 import random
 import re
+import secrets
 import time
 from http import HTTPStatus
 from typing import Any, Iterable, Mapping
@@ -77,13 +81,16 @@ from ..obs import get_logger, recorder
 from ..obs.trace import TRACE_HEADER, current_trace
 from .faults import FaultInjector, FaultPlan
 from .server import (
+    KEY_HEADER,
     HttpServerBase,
     PROMETHEUS_CONTENT_TYPE,
+    TOKEN_HEADER,
     _BadRequest,
     _wants_prometheus,
     parse_json_body,
     prometheus_samples,
     render_prometheus,
+    request_span,
     resolve_portfolio_request,
     resolve_solve_request,
 )
@@ -108,6 +115,11 @@ def _event(event: str, **fields) -> None:
 #: Virtual nodes per worker: enough to spread the key space within a few
 #: percent of even at N <= 16 workers while keeping ring edits cheap.
 DEFAULT_REPLICAS = 64
+
+#: Longest key forwarded in ``X-Repro-Key``.  Keys embed the canonical
+#: params, so a huge ``params`` object could push the header past the
+#: worker's 64 KiB line limit; such a request is resolved by the worker.
+MAX_FORWARDED_KEY = 4096
 
 
 class HashRing:
@@ -468,6 +480,11 @@ class RouterServer(HttpServerBase):
         if plan is not None:
             self.worker_config.setdefault("fault_plan", plan.to_dict())
         self._retry_rng = random.Random(plan.seed if plan is not None else 0)
+        # Vouches for the key this router forwards with a /solve or
+        # /portfolio body, so a worker can serve a hit without parsing it.
+        # It reaches the workers inside their spawn config (over the spawn
+        # pipe), never on argv or in the environment, and is never logged.
+        self._route_token = secrets.token_hex(16)
         self._spawn_timeout = float(spawn_timeout)
         self._handles: dict[int, WorkerHandle] = {}
         self._clients: dict[int, _WorkerClient] = {}
@@ -490,9 +507,9 @@ class RouterServer(HttpServerBase):
     async def _before_bind(self) -> None:
         """Spawn the whole fleet (in parallel) before accepting traffic."""
         loop = asyncio.get_running_loop()
+        config = {**self.worker_config, "route_token": self._route_token}
         handles = [
-            WorkerHandle(i, self.worker_config, faults=self.faults)
-            for i in range(self.n_workers)
+            WorkerHandle(i, config, faults=self.faults) for i in range(self.n_workers)
         ]
         try:
             await asyncio.gather(
@@ -622,8 +639,15 @@ class RouterServer(HttpServerBase):
             return "truncated-response"
         return type(exc).__name__
 
-    async def _forward(self, key: str, path: str, body: bytes):
+    async def _forward(
+        self, key: str, path: str, body: bytes, *, forward_key: bool = False
+    ):
         """Send one request to ``key``'s shard, failing over around the ring.
+
+        With ``forward_key`` (``/solve`` and ``/portfolio``, where ``key``
+        is the body's ``result_key``) the key rides along in
+        :data:`KEY_HEADER` with the fleet token, so the worker looks it up
+        without parsing the body.
 
         Returns ``(status, headers, payload)`` from the first worker that
         answers.  Failures are classified, not pooled:
@@ -644,9 +668,10 @@ class RouterServer(HttpServerBase):
         # Propagate the ambient trace to the owning worker: the worker's
         # front door adopts it, so one trace id spans both hops.
         ctx = current_trace()
-        trace_headers = (
-            {TRACE_HEADER: ctx.child().header_value()} if ctx is not None else None
-        )
+        headers = {TRACE_HEADER: ctx.child().header_value()} if ctx is not None else {}
+        if forward_key and len(key) <= MAX_FORWARDED_KEY:
+            headers[KEY_HEADER] = key
+            headers[TOKEN_HEADER] = self._route_token
         deadline = time.monotonic() + self.FAILOVER_TIMEOUT_S
         timed_out: set[int] = set()
         while True:
@@ -671,18 +696,13 @@ class RouterServer(HttpServerBase):
             attempt = 0
             while True:
                 try:
-                    with recorder().span(
-                        ctx.trace_id if ctx else None,
-                        "router.forward",
-                        tenant=ctx.tenant if ctx else "default",
-                        worker=str(worker_id),
-                    ):
+                    with request_span("router.forward", worker=str(worker_id)):
                         if self.request_timeout is not None:
                             return await asyncio.wait_for(
-                                client.request("POST", path, body, trace_headers),
+                                client.request("POST", path, body, headers),
                                 self.request_timeout,
                             )
-                        return await client.request("POST", path, body, trace_headers)
+                        return await client.request("POST", path, body, headers)
                 except asyncio.TimeoutError:
                     # NB: must precede the OSError family — TimeoutError
                     # is an OSError subclass on 3.11+.
@@ -743,7 +763,9 @@ class RouterServer(HttpServerBase):
         self._inflight[key] = leader
         result = None
         try:
-            status, headers, payload = await self._forward(key, path, body)
+            status, headers, payload = await self._forward(
+                key, path, body, forward_key=True
+            )
             if status == 200:
                 result = (status, headers, payload)
             return status, headers, payload, headers.get("x-repro-cache", "miss")
@@ -919,29 +941,24 @@ class RouterServer(HttpServerBase):
                 HTTPStatus.SERVICE_UNAVAILABLE, f"worker unavailable: {exc}"
             )
 
-    async def _solve(self, body: bytes, headers) -> tuple[int, dict[str, str], bytes]:
-        ctx = current_trace()
-        with recorder().span(
-            ctx.trace_id if ctx is not None else None,
-            "router.route",
-            tenant=ctx.tenant if ctx is not None else "default",
-        ):
+    @staticmethod
+    def _resolve(resolver, body: bytes) -> tuple:
+        """The router's one resolve of a body: ``router.parse`` times the
+        JSON decode, ``router.key`` the instance build and the key."""
+        with request_span("router.parse"):
             data = parse_json_body(body)
-            key, name, _params, _instance = resolve_solve_request(data)
+        with request_span("router.key"):
+            return resolver(data)
+
+    async def _solve(self, body: bytes, headers) -> tuple[int, dict[str, str], bytes]:
+        key, name, _params, _instance = self._resolve(resolve_solve_request, body)
         self.metrics.count_algorithm(name)
         status, _resp_headers, payload, source = await self._routed(key, "/solve", body)
         extra = {"X-Repro-Cache": source} if status == 200 else {}
         return status, extra, payload
 
     async def _portfolio(self, body: bytes, headers) -> tuple[int, dict[str, str], bytes]:
-        ctx = current_trace()
-        with recorder().span(
-            ctx.trace_id if ctx is not None else None,
-            "router.route",
-            tenant=ctx.tenant if ctx is not None else "default",
-        ):
-            data = parse_json_body(body)
-            key, _instance, _algorithms, _params = resolve_portfolio_request(data)
+        key, *_ = self._resolve(resolve_portfolio_request, body)
         status, _resp_headers, payload, source = await self._routed(key, "/portfolio", body)
         extra = {"X-Repro-Cache": source} if status == 200 else {}
         return status, extra, payload

@@ -62,6 +62,7 @@ lifecycle on a daemon thread with its own event loop — the harness behind
 from __future__ import annotations
 
 import asyncio
+import hmac
 import json
 import re
 import threading
@@ -115,6 +116,13 @@ _JSON_HEADERS = {"Content-Type": "application/json"}
 
 #: Content type of the Prometheus text exposition format.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+#: Internal-hop headers: the router's resolved ``result_key`` for a
+#: ``/solve`` or ``/portfolio`` body, and the per-fleet token that makes a
+#: worker trust it.  A request without the right token is resolved as if
+#: it came from any other client.
+KEY_HEADER = "X-Repro-Key"
+TOKEN_HEADER = "X-Repro-Route-Token"
 
 
 def encode_report(report) -> bytes:
@@ -355,6 +363,17 @@ def _wants_prometheus(headers: Mapping[str, str]) -> bool:
 # ----------------------------------------------------------------------
 # request resolution (shared by the worker server and the router)
 # ----------------------------------------------------------------------
+
+def request_span(name: str, **labels: str):
+    """Time a ``with`` block as span ``name`` of the ambient request trace."""
+    ctx = current_trace()
+    return recorder().span(
+        ctx.trace_id if ctx else None,
+        name,
+        tenant=ctx.tenant if ctx else "default",
+        **labels,
+    )
+
 
 def parse_json_body(body: bytes) -> dict[str, Any]:
     try:
@@ -745,10 +764,6 @@ class HttpServerBase:
         headers = {"Retry-After": "1"} if status == HTTPStatus.SERVICE_UNAVAILABLE else {}
         return int(status), headers, payload
 
-    @staticmethod
-    def _json_body(body: bytes) -> dict[str, Any]:
-        return parse_json_body(body)
-
 
 class SolveServer(HttpServerBase):
     """The single-process serving stack: HTTP + batcher + cache + metrics.
@@ -773,6 +788,7 @@ class SolveServer(HttpServerBase):
         cache_dir: Path | str | None = None,
         warm_delta: float | None = None,
         faults: "FaultInjector | FaultPlan | Mapping[str, Any] | None" = None,
+        route_token: str | None = None,
     ) -> None:
         super().__init__()
         if warm_delta is not None and warm_delta < 0:
@@ -819,6 +835,9 @@ class SolveServer(HttpServerBase):
         self._session_seq = 0
         self._sessions_created = 0
         self._session_steps = 0
+        # Set only by repro.service.worker: the owning router's per-fleet
+        # token, which lets it forward its resolved key (KEY_HEADER).
+        self._route_token = route_token
 
     # -- lifecycle ------------------------------------------------------
 
@@ -849,6 +868,49 @@ class SolveServer(HttpServerBase):
         )
         self.close()
         get_logger().event("drain", logger="repro.service", stage="complete")
+
+    # -- request resolution -----------------------------------------------
+
+    def _forwarded_key(self, headers: Mapping[str, str]) -> str | None:
+        """The router's key for this request, if the fleet token vouches
+        for it; ``None`` sends the request down the ordinary resolve."""
+        key = headers.get(KEY_HEADER.lower())
+        token = headers.get(TOKEN_HEADER.lower())
+        if self._route_token is None or key is None or token is None:
+            return None
+        if not hmac.compare_digest(
+            token.encode("latin-1"), self._route_token.encode("latin-1")
+        ):
+            return None
+        return key
+
+    @staticmethod
+    def _resolve(resolver, body: bytes, expected: str | None = None) -> tuple:
+        """Parse ``body`` and run ``resolver`` on it (one ``server.resolve``
+        span).  With ``expected`` — a forwarded key — an own key that
+        disagrees raises a 500, so nothing is cached under either key."""
+        with request_span("server.resolve"):
+            resolved = resolver(parse_json_body(body))
+        if expected is not None and resolved[0] != expected:
+            raise _BadRequest(
+                HTTPStatus.INTERNAL_SERVER_ERROR,
+                "forwarded key disagrees with the worker's own key",
+            )
+        return resolved
+
+    def _request_key(self, headers, body: bytes, resolver) -> tuple[str, Any]:
+        """``(key, resolve)`` for one ``/solve`` or ``/portfolio`` body.
+
+        A forwarded key is used as-is, and ``resolve()`` parses the body
+        only when called (on a miss).  Otherwise the body is resolved now
+        and ``resolve()`` returns that result.  Either way the request
+        takes one path through :meth:`_coalesced`.
+        """
+        key = self._forwarded_key(headers)
+        if key is not None:
+            return key, lambda: self._resolve(resolver, body, key)
+        resolved = self._resolve(resolver, body)
+        return resolved[0], lambda: resolved
 
     # -- caching helpers --------------------------------------------------
 
@@ -906,12 +968,7 @@ class SolveServer(HttpServerBase):
         scheduling per hit) and only the possible-disk-read miss path
         moves to the default thread-pool executor.
         """
-        ctx = current_trace()
-        with recorder().span(
-            ctx.trace_id if ctx else None,
-            "cache.lookup",
-            tenant=ctx.tenant if ctx else "default",
-        ):
+        with request_span("cache.lookup"):
             if self.cache.spill_dir is None:
                 return self.cache.get(key)
             payload = self.cache.get_memory(key)
@@ -923,12 +980,7 @@ class SolveServer(HttpServerBase):
 
     async def _cache_put(self, key: str, payload: bytes) -> None:
         """Cache insert; eviction may spill to disk, so same treatment."""
-        ctx = current_trace()
-        with recorder().span(
-            ctx.trace_id if ctx else None,
-            "cache.store",
-            tenant=ctx.tenant if ctx else "default",
-        ):
+        with request_span("cache.store"):
             if self.cache.spill_dir is None:
                 self.cache.put(key, payload)
                 return
@@ -1077,18 +1129,19 @@ class SolveServer(HttpServerBase):
             key, bucket=bucket, sketch=sketch, instance=instance_to_dict(instance)
         )
 
-    async def _solve_payload(
-        self, key: str, name: str, params, instance
-    ) -> tuple[bytes, str]:
+    async def _solve_payload(self, key: str, resolve) -> tuple[bytes, str]:
         """The shared ``/solve`` + session-step engine path: cache →
         coalesce → warm-start (opt-in) → micro-batched cold solve.
 
-        Returns ``(payload, "hit" | "coalesced" | "warm" | "miss")``.
+        ``resolve()`` returns ``(key, name, params, instance)``; it runs
+        only on a miss.  Returns ``(payload, "hit" | "coalesced" | "warm"
+        | "miss")``.
         """
         warmed = {}
         state: dict[str, Any] = {}
 
         async def produce() -> bytes:
+            _key, name, params, instance = resolve()
             # The pre/post-solve seams run on the executor so an injected
             # `slow`/`hang` stalls this request without blocking the loop
             # (a `crash` hard-kills the process from any thread anyway).
@@ -1136,10 +1189,9 @@ class SolveServer(HttpServerBase):
         return payload, source
 
     async def _solve(self, body: bytes, headers) -> tuple[int, dict[str, str], bytes]:
-        data = self._json_body(body)
-        key, name, params, instance = resolve_solve_request(data)
-        self.metrics.count_algorithm(name)
-        payload, source = await self._solve_payload(key, name, params, instance)
+        key, resolve = self._request_key(headers, body, resolve_solve_request)
+        self.metrics.count_algorithm(key.split("|", 2)[1])  # hash|name|params
+        payload, source = await self._solve_payload(key, resolve)
         return 200, {"X-Repro-Cache": source}, payload
 
     # -- sessions ----------------------------------------------------------
@@ -1185,7 +1237,7 @@ class SolveServer(HttpServerBase):
                 HTTPStatus.SERVICE_UNAVAILABLE,
                 "draining: not accepting new sessions",
             )
-        data = self._json_body(body)
+        data = parse_json_body(body)
         if self.faults is not None:
             await asyncio.get_running_loop().run_in_executor(
                 None, self.faults.fire_sync, "session.create"
@@ -1207,7 +1259,7 @@ class SolveServer(HttpServerBase):
     async def _session_step(
         self, body: bytes, headers, session_id: str
     ) -> tuple[int, dict[str, str], bytes]:
-        data = self._json_body(body)
+        data = parse_json_body(body)
         if self.faults is not None:
             await asyncio.get_running_loop().run_in_executor(
                 None, self.faults.fire_sync, "session.step"
@@ -1227,9 +1279,10 @@ class SolveServer(HttpServerBase):
             merged["algorithm"] = session["algorithm"]
         if "params" not in merged and session["params"] is not None:
             merged["params"] = session["params"]
-        key, name, params, instance = resolve_solve_request(merged)
+        resolved = resolve_solve_request(merged)
+        key, name, *_ = resolved
         self.metrics.count_algorithm(name)
-        payload, source = await self._solve_payload(key, name, params, instance)
+        payload, source = await self._solve_payload(key, lambda: resolved)
         session["steps"] += 1
         self._session_steps += 1
         return 200, {"X-Repro-Cache": source}, payload
@@ -1248,12 +1301,12 @@ class SolveServer(HttpServerBase):
         return 200, {}, payload
 
     async def _portfolio(self, body: bytes, headers) -> tuple[int, dict[str, str], bytes]:
-        data = self._json_body(body)
-        key, instance, algorithms, params = resolve_portfolio_request(data)
+        key, resolve = self._request_key(headers, body, resolve_portfolio_request)
 
         async def produce() -> bytes:
             from ..engine import portfolio
 
+            _key, instance, algorithms, params = resolve()
             loop = asyncio.get_running_loop()
             try:
                 result = await loop.run_in_executor(

@@ -11,7 +11,10 @@ can compare a worker's bytes against the single-process path directly.
 The handshake is one message on a one-way multiprocessing pipe: the child
 binds first, then sends ``{"port": ..., "pid": ...}`` (or ``{"error":
 ...}`` if startup failed) and closes its end.  Everything after that
-happens over HTTP.
+happens over HTTP.  The spawn config carries the router's per-fleet
+token, so the token travels over the spawn pipe only; with it the worker
+trusts the ``X-Repro-Key`` the router forwards on ``/solve`` and
+``/portfolio`` (see :data:`repro.service.server.KEY_HEADER`).
 
 :func:`worker_main` must stay module-level and import-light so the
 ``spawn`` start method can pickle it by reference — the router uses
@@ -66,7 +69,10 @@ async def _serve(worker_id: int, conn, config: Mapping[str, Any]) -> None:
     # spec with "worker": K fires only in worker K.
     plan = config.pop("fault_plan", None)
     faults = FaultInjector(plan, worker=worker_id) if plan is not None else None
-    server = SolveServer(faults=faults, **config)
+    # The router's per-fleet token: with it the worker trusts the key the
+    # router forwards and serves a hit without parsing the body.
+    route_token = config.pop("route_token", None)
+    server = SolveServer(faults=faults, route_token=route_token, **config)
     try:
         bound = await server.start("127.0.0.1", 0)
     except BaseException as exc:

@@ -11,14 +11,16 @@ from repro.core.instance import PrecedenceInstance, ReleaseInstance, StripPackin
 from repro.core.placement import validate_placement
 from repro.core.rectangle import Rect
 from repro.core.serialize import (
+    _tick_columns,
+    _ticks,
     canonical_hash,
-    canonical_instance_dict,
     canonical_params,
     dumps_instance,
     instance_from_dict,
     instance_to_dict,
     loads_instance,
     placement_from_dict,
+    instance_sketch,
     placement_to_dict,
     result_key,
 )
@@ -119,36 +121,109 @@ def _permuted(instance, seed):
     return StripPackingInstance(rects)
 
 
+def _tick_table(instance):
+    """Everything the canonical form of a plain instance reads: per-id ticks."""
+    rids, ticks = _tick_columns(instance, ATOL)
+    return sorted(zip(map(repr, rids), map(tuple, ticks.tolist())))
+
+
+def _fixtures():
+    """One plain, one precedence and one release instance (the pins below)."""
+    plain = StripPackingInstance(rects3())
+    prec_rects = [Rect(rid=i, width=0.1 + 0.07 * i, height=0.3 + 0.11 * i) for i in range(6)]
+    prec = PrecedenceInstance(
+        prec_rects, TaskDAG(list(range(6)), [(0, 2), (1, 2), (2, 5), (3, 4)])
+    )
+    release = ReleaseInstance(
+        [
+            Rect(rid=f"t{i}", width=0.25 + 0.05 * i, height=0.2 + 0.1 * i, release=0.5 * (i % 3))
+            for i in range(5)
+        ],
+        K=4,
+    )
+    return plain, prec, release
+
+
 class TestCanonicalHash:
     @given(rects=rect_lists(min_size=1, max_size=12), seed=st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)
     def test_invariant_under_rect_reordering(self, rects, seed):
         inst = StripPackingInstance(rects)
         shuffled = _permuted(inst, seed)
-        assert canonical_instance_dict(inst) == canonical_instance_dict(shuffled)
         assert canonical_hash(inst) == canonical_hash(shuffled)
+        assert instance_sketch(inst) == instance_sketch(shuffled)
 
     @given(inst=precedence_instances(max_size=8), seed=st.integers(0, 2**16))
     @settings(max_examples=40, deadline=None)
     def test_precedence_invariant_under_reordering(self, inst, seed):
-        assert canonical_hash(inst) == canonical_hash(_permuted(inst, seed))
+        shuffled = _permuted(inst, seed)
+        assert canonical_hash(inst) == canonical_hash(shuffled)
+        assert instance_sketch(inst) == instance_sketch(shuffled)
 
     @given(inst=release_instances(max_size=8), seed=st.integers(0, 2**16))
     @settings(max_examples=40, deadline=None)
     def test_release_invariant_under_reordering(self, inst, seed):
+        shuffled = _permuted(inst, seed)
+        assert canonical_hash(inst) == canonical_hash(shuffled)
+        assert instance_sketch(inst) == instance_sketch(shuffled)
+
+    @given(
+        ids=st.lists(
+            st.one_of(st.integers(-(2**70), 2**70), st.text(max_size=4)),
+            min_size=1,
+            max_size=10,
+            unique_by=lambda rid: (type(rid), rid),
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_mixed_int_and_str_ids_order_totally(self, ids, seed):
+        rects = [Rect(rid=rid, width=0.5, height=1.0 + i) for i, rid in enumerate(ids)]
+        inst = StripPackingInstance(rects)
         assert canonical_hash(inst) == canonical_hash(_permuted(inst, seed))
 
-    @given(rects=rect_lists(min_size=1, max_size=10))
+    @given(rects=rect_lists(min_size=1, max_size=10), seed=st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)
-    def test_hash_inequality_implies_dict_inequality(self, rects):
-        """The digest is a pure function of the canonical dict, so two
-        instances with equal canonical dicts can never hash apart."""
+    def test_hash_is_a_function_of_the_tick_table(self, rects, seed):
+        """Equal tick tables hash equal; unequal hashes mean unequal tables."""
         a = StripPackingInstance(rects)
-        b = _permuted(a, 7)
-        if canonical_hash(a) != canonical_hash(b):
-            assert canonical_instance_dict(a) != canonical_instance_dict(b)
-        if canonical_instance_dict(a) == canonical_instance_dict(b):
+        b = _permuted(a, seed)
+        if _tick_table(a) == _tick_table(b):
             assert canonical_hash(a) == canonical_hash(b)
+        if canonical_hash(a) != canonical_hash(b):
+            assert _tick_table(a) != _tick_table(b)
+
+    @given(
+        values=st.lists(
+            st.floats(min_value=0.0, max_value=1e6, allow_nan=False), min_size=1, max_size=8
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_columnar_ticks_equal_scalar_ticks(self, values):
+        """np.rint and round() both round half to even: bit-identical ticks."""
+        values = values + [2.5e-9, 3.5e-9, 0.5e-9]  # exact half-tick ties
+        rects = [
+            Rect(rid=i, width=min(1.0, max(v, 1e-6)), height=v + 1e-6, release=v)
+            for i, v in enumerate(values)
+        ]
+        _rids, ticks = _tick_columns(StripPackingInstance(rects), ATOL)
+        expected = [
+            [_ticks(r.width, ATOL), _ticks(r.height, ATOL), _ticks(r.release, ATOL)]
+            for r in rects
+        ]
+        assert ticks.tolist() == expected
+
+    @given(
+        ticks=st.lists(st.integers(1, 10**9), min_size=1, max_size=8),
+        noise=st.floats(min_value=-0.25, max_value=0.25),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_subtolerance_noise_collapses_on_the_grid(self, ticks, noise):
+        exact = [Rect(rid=i, width=0.5, height=k * ATOL) for i, k in enumerate(ticks)]
+        noisy = [Rect(rid=i, width=0.5, height=(k + noise) * ATOL) for i, k in enumerate(ticks)]
+        a, b = StripPackingInstance(exact), StripPackingInstance(noisy)
+        assert canonical_hash(a) == canonical_hash(b)
+        assert instance_sketch(a) == instance_sketch(b)
 
     def test_subtolerance_noise_collapses(self):
         a = StripPackingInstance([Rect(rid=0, width=0.5, height=1.0)])
@@ -156,6 +231,7 @@ class TestCanonicalHash:
             [Rect(rid=0, width=0.5 + ATOL / 10, height=1.0 - ATOL / 10)]
         )
         assert canonical_hash(a) == canonical_hash(b)
+        assert instance_sketch(a) == instance_sketch(b)
 
     def test_super_tolerance_difference_separates(self):
         a = StripPackingInstance([Rect(rid=0, width=0.5, height=1.0)])
@@ -166,6 +242,10 @@ class TestCanonicalHash:
         a = StripPackingInstance([Rect(rid="a", width=0.5, height=1.0)])
         b = StripPackingInstance([Rect(rid="b", width=0.5, height=1.0)])
         assert canonical_hash(a) != canonical_hash(b)
+        # an int id and its string form are different ids
+        c = StripPackingInstance([Rect(rid=1, width=0.5, height=1.0)])
+        d = StripPackingInstance([Rect(rid="1", width=0.5, height=1.0)])
+        assert canonical_hash(c) != canonical_hash(d)
 
     def test_variant_and_structure_separate(self):
         rects = rects3()
@@ -182,9 +262,55 @@ class TestCanonicalHash:
         b = PrecedenceInstance(rects3(), TaskDAG(["a", "b", "c"], [("b", "c"), ("a", "b")]))
         assert canonical_hash(a) == canonical_hash(b)
 
+    def test_edge_direction_is_part_of_the_identity(self):
+        a = PrecedenceInstance(rects3(), TaskDAG(["a", "b", "c"], [("a", "b")]))
+        b = PrecedenceInstance(rects3(), TaskDAG(["a", "b", "c"], [("b", "a")]))
+        assert canonical_hash(a) != canonical_hash(b)
+
     def test_hash_is_hex_sha256(self):
         digest = canonical_hash(StripPackingInstance(rects3()))
         assert len(digest) == 64 and int(digest, 16) >= 0
+
+    @pytest.mark.parametrize("height", [float("inf"), float("nan"), 1e300])
+    def test_dimension_without_a_tick_is_rejected(self, height):
+        rect = Rect(rid=0, width=0.5, height=1.0)
+        object.__setattr__(rect, "height", height)  # bypass Rect's own check
+        with pytest.raises(InvalidInstanceError):
+            canonical_hash(StripPackingInstance([rect]))
+
+    def test_v2_digest_is_pinned(self):
+        """The canonical form is the spill tier's file identity: changing
+        it silently turns every spilled entry into a miss, so it may only
+        change together with its version tag."""
+        assert canonical_hash(StripPackingInstance(rects3())) == (
+            "df5d9e6754695863b72b7f864eab280d8162614b18a3830c8698c4a4caf93309"
+        )
+
+
+class TestSketchPins:
+    """Literal band keys recorded before the sketch moved onto the shared
+    tick columns: warm-start neighbour matching must not change."""
+
+    def test_band_keys_are_byte_identical(self):
+        plain, prec, release = _fixtures()
+        assert instance_sketch(plain) == (
+            "plain|0:1855d7b1224524b2",
+            "plain|1:4b8913e90e433721",
+            "plain|2:09889e3037196d58",
+            "plain|3:e31faee73e737d71",
+        )
+        assert instance_sketch(prec) == (
+            "precedence|0:e15d0820e3829697",
+            "precedence|1:014d00c6ca1838b1",
+            "precedence|2:fa0a2fc0e1355e9e",
+            "precedence|3:9d71325d8fc5ce43",
+        )
+        assert instance_sketch(release) == (
+            "release/4|0:247c2e8f46b8f7fe",
+            "release/4|1:c0fdf4132f65e2c9",
+            "release/4|2:691967ae386f6278",
+            "release/4|3:5aaa88866fa55715",
+        )
 
 
 class TestResultKey:
@@ -242,40 +368,3 @@ class TestResultKey:
     def test_unserialisable_param_rejected(self):
         with pytest.raises(InvalidInstanceError):
             canonical_params({"fn": object()})
-
-
-class TestCanonicalMemo:
-    """The per-instance memo caches only the default-``atol`` form."""
-
-    def test_default_atol_memoizes(self):
-        inst = StripPackingInstance(rects3())
-        first = canonical_instance_dict(inst)
-        assert canonical_instance_dict(inst) is first
-        assert canonical_instance_dict(inst, atol=ATOL) is first
-
-    def test_non_default_atol_never_poisons_the_memo(self):
-        """An exotic-tolerance call neither reads nor writes the memo.
-
-        Ordering matters both ways: a coarse-grid call *before* the first
-        default call must not seed the memo with coarse ticks, and one
-        *after* must not evict or overwrite the default-grid entry the
-        serving cache keys on.
-        """
-        coarse = 1e-3
-        inst = StripPackingInstance(rects3())
-        before = canonical_instance_dict(inst, atol=coarse)
-        assert inst.__dict__.get("_canonical_dict") is None  # not written
-        default = canonical_instance_dict(inst)
-        assert default != before  # different grids, different ticks
-        after = canonical_instance_dict(inst, atol=coarse)
-        assert after == before
-        assert canonical_instance_dict(inst) is default  # memo intact
-
-    def test_memo_entry_matches_fresh_computation(self):
-        """The memoized dict equals what an unmemoized instance computes."""
-        inst = StripPackingInstance(rects3())
-        canonical_instance_dict(inst, atol=1e-5)  # exotic call first
-        memoized = canonical_instance_dict(inst)
-        fresh = canonical_instance_dict(StripPackingInstance(rects3()))
-        assert memoized == fresh
-        assert canonical_hash(inst) == canonical_hash(StripPackingInstance(rects3()))
