@@ -771,13 +771,12 @@ def _cmd_bench_trend(args, out) -> int:
     for directory in directories:
         if not directory.is_dir():
             raise _CliInputError(f"not a directory: {directory}")
-    document, drifts = run_trend(
-        directories, window=window, threshold=threshold, out_dir=args.out
-    )
-    if document["artifacts"] == 0:
-        raise _CliInputError(
-            f"no BENCH_*.json artifacts under {', '.join(map(str, directories))}"
+    try:
+        document, drifts = run_trend(
+            directories, window=window, threshold=threshold, out_dir=args.out
         )
+    except ValueError as exc:  # no artifacts: nothing was written
+        raise _CliInputError(str(exc)) from exc
     print(trend_table(document).render(), file=out)
     for error in document["load_errors"]:
         print(f"warning: skipped invalid artifact: {error}", file=out)

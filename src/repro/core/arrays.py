@@ -8,10 +8,16 @@ rectangle of an instance thousands of times.  Per-object attribute access
 dominates their runtime long before the algorithmic work does.
 
 :class:`RectArrays` is the columnar twin: parallel numpy ``float64``
-columns (``width``/``height``/``release``) plus the original rectangle
-tuple for materialisation at the boundary.  Kernels address rectangles by
-*position* (an integer row index), not by object, and only convert back to
-the object world once, through :class:`PlacementBuilder`.
+columns (``width``/``height``/``release``) plus the ``rids`` column and
+the rectangle tuple for materialisation at the boundary.  Kernels address
+rectangles by *position* (an integer row index), not by object, and only
+convert back to the object world once, through :class:`PlacementBuilder`.
+
+The columns can also come first: :meth:`RectArrays.from_columns` adopts
+already-decoded columns (the JSON decode of
+:func:`repro.core.serialize.instance_from_dict`), and the ``Rect`` tuple
+is then built only when something first reads ``rects`` — a request that
+is only keyed and routed never builds one.
 
 Discipline shared with the skyline kernel (:mod:`repro.geometry.skyline`):
 columnar compute must be *observationally identical* to the object-based
@@ -43,27 +49,40 @@ Node = Hashable
 
 
 class RectArrays:
-    """Parallel columns over a fixed rectangle tuple.
+    """Parallel columns over a fixed rectangle collection.
 
-    ``width``/``height``/``release`` are read-only ``float64`` arrays with
-    row ``i`` describing ``rects[i]``; ``rids`` and :meth:`index` map
-    between row positions and rectangle ids.  Instances are immutable —
+    ``width``/``height``/``release`` are read-only ``float64`` arrays and
+    ``rids`` a tuple, with row ``i`` describing ``rects[i]``; :meth:`index`
+    maps ids back to row positions.  Instances are immutable —
     :meth:`repro.core.instance.StripPackingInstance.arrays` builds one per
     instance and caches it, so every kernel run over the same instance
     shares one copy of the columns.
     """
 
-    __slots__ = ("rects", "width", "height", "release", "_index", "_sids")
+    __slots__ = ("rids", "width", "height", "release", "_rects", "_index", "_sids")
 
     def __init__(self, rects: Sequence[Rect]):
-        self.rects: tuple[Rect, ...] = tuple(rects)
-        n = len(self.rects)
-        width = np.fromiter((r.width for r in self.rects), np.float64, n)
-        height = np.fromiter((r.height for r in self.rects), np.float64, n)
-        release = np.fromiter((r.release for r in self.rects), np.float64, n)
+        rects = tuple(rects)
+        n = len(rects)
+        self._set_columns(
+            tuple(r.rid for r in rects),
+            np.fromiter((r.width for r in rects), np.float64, n),
+            np.fromiter((r.height for r in rects), np.float64, n),
+            np.fromiter((r.release for r in rects), np.float64, n),
+        )
+        self._rects: tuple[Rect, ...] | None = rects
+
+    def _set_columns(
+        self,
+        rids: tuple[Node, ...],
+        width: np.ndarray,
+        height: np.ndarray,
+        release: np.ndarray,
+    ) -> None:
         width.setflags(write=False)
         height.setflags(write=False)
         release.setflags(write=False)
+        self.rids = rids
         self.width = width
         self.height = height
         self.release = release
@@ -75,6 +94,36 @@ class RectArrays:
     def from_rects(cls, rects: Sequence[Rect]) -> "RectArrays":
         """Columnar view of a plain rectangle sequence."""
         return cls(rects)
+
+    @classmethod
+    def from_columns(
+        cls,
+        rids: tuple[Node, ...],
+        width: np.ndarray,
+        height: np.ndarray,
+        release: np.ndarray,
+    ) -> "RectArrays | None":
+        """Adopt decoded ``float64`` columns, or ``None`` if a row is bad.
+
+        One mask applies :class:`~repro.core.rectangle.Rect`'s field rules
+        to every row at once (``0 < width <= 1``, ``0 < height``,
+        ``0 <= release``, all finite; NaN fails every comparison).  It only
+        decides whether the columns are clean: on ``None`` the caller
+        builds the ``Rect`` objects instead, so their constructor stays
+        the one place that words the error.  Id uniqueness is the
+        instance's check, not this one.
+        """
+        clean = (
+            (width > 0.0) & (width <= 1.0)
+            & (height > 0.0) & (height < np.inf)
+            & (release >= 0.0) & (release < np.inf)
+        )
+        if not clean.all():
+            return None
+        arrays = cls.__new__(cls)
+        arrays._set_columns(rids, width, height, release)
+        arrays._rects = None
+        return arrays
 
     @classmethod
     def coerce(cls, rects) -> "RectArrays":
@@ -93,17 +142,28 @@ class RectArrays:
 
     # -- queries ----------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.rects)
+        return len(self.rids)
 
     @property
-    def rids(self) -> tuple[Node, ...]:
-        """Rectangle ids, in row order."""
-        return tuple(r.rid for r in self.rects)
+    def rects(self) -> tuple[Rect, ...]:
+        """The rectangles, in row order (built from the columns on first
+        access when the columns came first)."""
+        if self._rects is None:
+            self._rects = tuple(
+                map(
+                    Rect,
+                    self.rids,
+                    self.width.tolist(),
+                    self.height.tolist(),
+                    self.release.tolist(),
+                )
+            )
+        return self._rects
 
     def index(self) -> dict[Node, int]:
         """Mapping rid -> row position (built lazily, then reused)."""
         if self._index is None:
-            self._index = {r.rid: i for i, r in enumerate(self.rects)}
+            self._index = {rid: i for i, rid in enumerate(self.rids)}
         return self._index
 
     def sid_column(self) -> np.ndarray:
@@ -112,15 +172,23 @@ class RectArrays:
         reused — instances cache their ``RectArrays``, so repeated
         solves skip the per-rect ``str()`` pass)."""
         if self._sids is None:
-            self._sids = np.array([str(r.rid) for r in self.rects])
+            self._sids = np.array([str(rid) for rid in self.rids])
         return self._sids
 
     def __getstate__(self):
-        # Drop the lazy index; numpy columns pickle fine (process backend).
-        return (self.rects,)
+        # Drop the lazy caches; numpy columns pickle fine (process
+        # backend).  Built ``Rect``s travel as they are, so a rectangle
+        # built with an int width unpickles with its int width.
+        if self._rects is not None:
+            return (self._rects,)
+        return (self.rids, self.width, self.height, self.release)
 
     def __setstate__(self, state) -> None:
-        self.__init__(state[0])
+        if len(state) == 1:
+            self.__init__(state[0])
+        else:
+            self._set_columns(*state)
+            self._rects = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RectArrays(n={len(self)})"

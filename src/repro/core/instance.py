@@ -9,18 +9,27 @@
 Instances are immutable containers: algorithms read them and return
 :class:`~repro.core.placement.Placement` objects; the shared validators in
 :mod:`repro.core.placement` check every constraint an instance carries.
+
+An instance is built either from ``Rect`` objects or from a validated
+:class:`~repro.core.arrays.RectArrays` (the JSON decode's columns).  In the
+second case ``rects`` is materialised from the columns on first access, and
+``len``, ``arrays()`` and :meth:`PrecedenceInstance.uniform_height` never
+need it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Hashable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Hashable, Iterator, Mapping, Sequence
 
 from ..dag.graph import TaskDAG
 from ..dag.validate import check_same_universe
 from .errors import InvalidInstanceError
 from .rectangle import Rect, check_rects, max_height, total_area
+
+if TYPE_CHECKING:
+    from .arrays import RectArrays
 
 __all__ = [
     "StripPackingInstance",
@@ -42,13 +51,43 @@ class StripPackingInstance:
 
     rects: tuple[Rect, ...]
 
-    def __init__(self, rects: Sequence[Rect]):
-        object.__setattr__(self, "rects", tuple(rects))
-        check_rects(self.rects)
+    def __init__(self, rects: Sequence[Rect] | RectArrays):
+        from .arrays import RectArrays
+
+        if isinstance(rects, RectArrays):
+            # Columns first: fields were validated when the columns were
+            # adopted; ids are checked here, where check_rects would run.
+            object.__setattr__(self, "_arrays", rects)
+            try:
+                unique = len(set(rects.rids)) == len(rects)
+            except TypeError:  # an unhashable id
+                unique = False
+            if not unique:
+                check_rects(rects.rects)  # raises with the offending id
+        else:
+            object.__setattr__(self, "rects", tuple(rects))
+            check_rects(self.rects)
+
+    def __getattr__(self, name: str):
+        # Only reached for attributes missing from __dict__: ``rects`` of a
+        # columns-first instance, materialised once and then stored.
+        arrays = self.__dict__.get("_arrays")
+        if name != "rects" or arrays is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        object.__setattr__(self, "rects", arrays.rects)
+        return self.__dict__["rects"]
 
     # -- shared helpers -------------------------------------------------
     def __len__(self) -> int:
-        return len(self.rects)
+        rects = self.__dict__.get("rects")
+        return len(rects) if rects is not None else len(self.__dict__["_arrays"])
+
+    def _ids(self) -> Sequence[Node]:
+        """Rectangle ids in row order, from the columns when they exist."""
+        arrays = self.__dict__.get("_arrays")
+        return arrays.rids if arrays is not None else [r.rid for r in self.rects]
 
     def __iter__(self) -> Iterator[Rect]:
         return iter(self.rects)
@@ -105,9 +144,9 @@ class PrecedenceInstance(StripPackingInstance):
 
     dag: TaskDAG = field(default=None)  # type: ignore[assignment]
 
-    def __init__(self, rects: Sequence[Rect], dag: TaskDAG):
+    def __init__(self, rects: Sequence[Rect] | RectArrays, dag: TaskDAG):
         StripPackingInstance.__init__(self, rects)
-        check_same_universe(dag, (r.rid for r in self.rects))
+        check_same_universe(dag, self._ids())
         object.__setattr__(self, "dag", dag)
 
     @classmethod
@@ -117,8 +156,8 @@ class PrecedenceInstance(StripPackingInstance):
 
     def uniform_height(self) -> bool:
         """Whether all rectangles share one height (the Section 2.2 case)."""
-        hs = {r.height for r in self.rects}
-        return len(hs) <= 1
+        heights = self.arrays().height
+        return not heights.size or bool((heights == heights[0]).all())
 
     def induced(self, ids: Sequence[Node]) -> "PrecedenceInstance":
         """Sub-instance on ``ids`` with the induced precedence subgraph."""
@@ -137,7 +176,7 @@ class ReleaseInstance(StripPackingInstance):
 
     K: int = 0
 
-    def __init__(self, rects: Sequence[Rect], K: int):
+    def __init__(self, rects: Sequence[Rect] | RectArrays, K: int):
         if K <= 0:
             raise InvalidInstanceError(f"K must be a positive integer, got {K!r}")
         StripPackingInstance.__init__(self, rects)

@@ -34,6 +34,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from .arrays import RectArrays
 from .errors import InvalidInstanceError
 from .instance import PrecedenceInstance, ReleaseInstance, StripPackingInstance
 from .placement import Placement
@@ -75,7 +76,13 @@ def instance_to_dict(instance: StripPackingInstance) -> dict[str, Any]:
 
 
 def instance_from_dict(data: dict[str, Any]) -> StripPackingInstance:
-    """Rebuild an instance from :func:`instance_to_dict` output."""
+    """Rebuild an instance from :func:`instance_to_dict` output.
+
+    A clean body decodes straight into columns (:func:`_rect_columns`);
+    the instance then builds its ``Rect`` objects only if a caller reads
+    them.  Any other body takes the ``Rect``-by-``Rect`` path, so every
+    rejection raises exactly the error that path has always raised.
+    """
     if not isinstance(data, dict):
         raise InvalidInstanceError(
             f"instance JSON must be an object, got {type(data).__name__}"
@@ -83,18 +90,20 @@ def instance_from_dict(data: dict[str, Any]) -> StripPackingInstance:
     kind = data.get("type")
     if kind not in ("plain", "precedence", "release"):
         raise InvalidInstanceError(f"unknown instance type {kind!r}")
-    try:
-        rects = [
-            Rect(
-                rid=entry["id"],
-                width=float(entry["width"]),
-                height=float(entry["height"]),
-                release=float(entry.get("release", 0.0)),
-            )
-            for entry in data["rects"]
-        ]
-    except KeyError as exc:
-        raise InvalidInstanceError(f"rect entry missing field {exc}") from exc
+    rects = _rect_columns(data.get("rects"))
+    if rects is None:
+        try:
+            rects = [
+                Rect(
+                    rid=entry["id"],
+                    width=float(entry["width"]),
+                    height=float(entry["height"]),
+                    release=float(entry.get("release", 0.0)),
+                )
+                for entry in data["rects"]
+            ]
+        except KeyError as exc:
+            raise InvalidInstanceError(f"rect entry missing field {exc}") from exc
     if kind == "plain":
         return StripPackingInstance(rects)
     if kind == "release":
@@ -104,7 +113,42 @@ def instance_from_dict(data: dict[str, Any]) -> StripPackingInstance:
     from ..dag.graph import TaskDAG
 
     edges = [tuple(e) for e in data.get("edges", [])]
-    return PrecedenceInstance(rects, TaskDAG([r.rid for r in rects], edges))
+    ids = rects.rids if isinstance(rects, RectArrays) else [r.rid for r in rects]
+    return PrecedenceInstance(rects, TaskDAG(ids, edges))
+
+
+def _rect_columns(entries: Any) -> RectArrays | None:
+    """Decode a list of rect entries into :class:`RectArrays` columns.
+
+    One pass with the ``Rect`` path's own ``float()`` coercion; the
+    columns are then accepted only if every row is valid
+    (:meth:`RectArrays.from_columns`).  Anything else — a missing field,
+    a value ``float()`` refuses, a bad row, a non-list — returns ``None``
+    and leaves the body to the ``Rect`` path, which raises its error.
+    """
+    if type(entries) is not list:
+        return None
+    rids: list[Any] = []
+    width: list[float] = []
+    height: list[float] = []
+    release: list[float] = []
+    try:
+        for entry in entries:
+            rids.append(entry["id"])
+            width.append(float(entry["width"]))
+            height.append(float(entry["height"]))
+            release.append(float(entry.get("release", 0.0)))
+    except (LookupError, TypeError, ValueError, ArithmeticError, AttributeError):
+        # Whatever indexing an entry or float() can raise.  The Rect path
+        # raises the first faulty row's error, which may be an earlier
+        # row the mask would have caught.
+        return None
+    return RectArrays.from_columns(
+        tuple(rids),
+        np.array(width, dtype=np.float64),
+        np.array(height, dtype=np.float64),
+        np.array(release, dtype=np.float64),
+    )
 
 
 def dumps_instance(instance: StripPackingInstance, **json_kwargs: Any) -> str:

@@ -231,15 +231,19 @@ def run_trend(
 
     ``directories`` is the committed artifact dir plus any history dirs;
     with ``out_dir`` the document is also written as ``BENCH_trend.json``.
+    Directories holding no ``BENCH_*.json`` artifact at all raise
+    ``ValueError`` before anything is written: a trend over nothing
+    records nothing.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     if threshold <= 1.0:
         raise ValueError(f"threshold must be > 1, got {threshold:g}")
+    directories = list(directories)
     result: PipelineResult = run_pipeline(
         TREND_TASKS,
         seed={
-            "directories": list(directories),
+            "directories": directories,
             "window": window,
             "threshold": threshold,
             "min_delta_s": min_delta_s,
@@ -247,6 +251,10 @@ def run_trend(
     )
     document = result.outputs["Report"]["document"]
     validate_trend(document)
+    if document["artifacts"] == 0:
+        raise ValueError(
+            f"no BENCH_*.json artifacts under {', '.join(map(str, directories))}"
+        )
     if out_dir is not None:
         out_path = Path(out_dir) / TREND_FILENAME
         out_path.parent.mkdir(parents=True, exist_ok=True)

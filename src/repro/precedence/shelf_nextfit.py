@@ -80,26 +80,16 @@ def shelf_next_fit(instance: PrecedenceInstance) -> ShelfRun:
     placement = Placement()
     run = ShelfRun(placement=placement, shelf_height=h)
 
-    placed_closed: set[Node] = set()   # ids on *closed* shelves
-    queued: set[Node] = set()
-    remaining: set[Node] = set(rects)
-    queue: deque[Node] = deque()
-
-    def repopulate() -> None:
-        """Add to the queue every unplaced rectangle whose predecessors are
-        all on closed shelves.  Deterministic order (sorted by id) keeps runs
-        reproducible; the paper leaves the queue order arbitrary."""
-        fresh = [
-            s
-            for s in remaining
-            if s not in queued and all(p in placed_closed for p in dag.predecessors(s))
-        ]
-        for s in sorted(fresh, key=str):
-            queue.append(s)
-            queued.add(s)
+    # A rectangle becomes available once every predecessor sits on a
+    # closed shelf: count the predecessors still pending, and release a
+    # rectangle when its count reaches 0.  Each close appends the ones it
+    # released sorted by id string, which keeps runs reproducible (the
+    # paper leaves the queue order arbitrary).
+    pending = {s: dag.in_degree(s) for s in rects}
+    queue: deque[Node] = deque(sorted((s for s, k in pending.items() if not k), key=str))
+    remaining = len(rects)
 
     shelf_index = 0
-    repopulate()
     while remaining:
         # Open shelf `shelf_index`, fill from the queue head.
         y = shelf_index * h
@@ -110,21 +100,26 @@ def shelf_next_fit(instance: PrecedenceInstance) -> ShelfRun:
             w = rects[head].width
             if tol.leq(used + w, 1.0):
                 queue.popleft()
-                queued.discard(head)
                 placement.place(rects[head], tol.clamp(used, 0.0, 1.0 - w), y)
                 used += w
                 ids.append(head)
-                remaining.discard(head)
             else:
                 break
+        remaining -= len(ids)
         closed_by_skip = not queue  # queue empty at close time => skip
         run.shelves.append(
             ShelfRecord(index=shelf_index, ids=tuple(ids), used_width=used, closed_by_skip=closed_by_skip)
         )
-        # Closing the shelf makes its rectangles "closed-placed".
-        placed_closed.update(ids)
+        # Closing the shelf makes its rectangles "closed-placed", which
+        # releases every successor whose last pending predecessor it held.
+        fresh = []
+        for s in ids:
+            for t in dag.successors(s):
+                pending[t] -= 1
+                if not pending[t]:
+                    fresh.append(t)
+        queue.extend(sorted(fresh, key=str))
         shelf_index += 1
-        repopulate()
         if not queue and remaining:
             # No rectangle became available even after closing: only possible
             # if the DAG is inconsistent (cannot happen for a valid DAG).

@@ -614,6 +614,7 @@ class RouterServer(HttpServerBase):
         if self._closed:
             return
         self._closed = True
+        self.close_connections()
         supervisor = self._supervisor
         if supervisor is not None:
             self._supervisor = None
@@ -625,6 +626,11 @@ class RouterServer(HttpServerBase):
                 pass
         for handle in self._handles.values():
             handle.shutdown(timeout=2)
+
+    def close_connections(self) -> None:
+        """Close every worker client's keep-alive pool."""
+        for client in self._clients.values():
+            client.close()
 
     # -- routing ----------------------------------------------------------
 

@@ -380,6 +380,9 @@ def parse_json_body(body: bytes) -> dict[str, Any]:
         data = json.loads(body or b"null")
     except json.JSONDecodeError as exc:
         raise _BadRequest(HTTPStatus.BAD_REQUEST, f"malformed JSON body: {exc}")
+    except RecursionError:
+        # ``[[[[...`` deeper than the interpreter's recursion limit.
+        raise _BadRequest(HTTPStatus.BAD_REQUEST, "malformed JSON body: nested too deeply")
     if not isinstance(data, dict):
         raise _BadRequest(HTTPStatus.BAD_REQUEST, "request body must be a JSON object")
     return data
@@ -390,7 +393,8 @@ def _parse_instance(data: dict[str, Any]):
         raise _BadRequest(HTTPStatus.BAD_REQUEST, "missing 'instance' field")
     try:
         return instance_from_dict(data["instance"])
-    except (ReproError, KeyError, TypeError, ValueError) as exc:
+    except (ReproError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: a dimension or K too large for a float or an int.
         raise _BadRequest(HTTPStatus.UNPROCESSABLE_ENTITY, f"invalid instance: {exc}")
 
 
@@ -517,6 +521,13 @@ class HttpServerBase:
 
     def close(self) -> None:
         """Release resources (idempotent); overridden by subclasses."""
+
+    def close_connections(self) -> None:
+        """Close outbound pooled connections (idempotent; loop thread).
+
+        Runs while the event loop is still alive, so the transports
+        actually shut; :meth:`close` may run after the loop is gone.
+        """
 
     def begin_drain(self) -> None:
         """Stop keep-alive reuse: every in-flight response closes its
@@ -1417,6 +1428,7 @@ class InProcessServer:
         finally:
             bound.close()
             loop.run_until_complete(bound.wait_closed())
+            self.server.close_connections()
             # Unwind whatever is still running (keep-alive connection
             # handlers, the router's supervisor) before the loop closes,
             # so teardown doesn't spray "Task was destroyed" warnings.

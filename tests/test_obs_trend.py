@@ -192,9 +192,20 @@ class TestCliBenchTrend:
         assert code == 2 and "not a directory" in out.getvalue()
 
     def test_empty_directory_is_a_usage_error(self, tmp_path):
+        artifacts, out_dir = tmp_path / "artifacts", tmp_path / "out"
+        artifacts.mkdir()
         out = io.StringIO()
-        code = main(["bench", "trend", "--artifacts", str(tmp_path)], out=out)
+        code = main(
+            ["bench", "trend", "--artifacts", str(artifacts), "--out", str(out_dir)],
+            out=out,
+        )
         assert code == 2 and "no BENCH_" in out.getvalue()
+        assert not out_dir.exists() and list(artifacts.iterdir()) == []
+
+    def test_run_trend_refuses_empty_directories_before_writing(self, tmp_path):
+        with pytest.raises(ValueError, match="no BENCH_"):
+            run_trend([tmp_path], out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_bad_window_and_threshold_are_usage_errors(self, tmp_path):
         for argv in (

@@ -36,6 +36,7 @@ import repro.service.server as server_module
 from repro.core.instance import PrecedenceInstance, ReleaseInstance, StripPackingInstance
 from repro.core.rectangle import Rect
 from repro.core.serialize import instance_to_dict
+from repro.dag.graph import TaskDAG
 from repro.obs import configure_logging
 from repro.obs.logging import _reset_for_testing as _reset_logger
 from repro.service import InProcessServer, RouterServer, SolveServer
@@ -513,3 +514,97 @@ def test_concurrent_forwarded_hits_on_one_key(worker):
         t.join()
     assert sources.count("miss") == 1
     assert set(sources) <= {"miss", "hit", "coalesced"}
+
+
+# ----------------------------------------------------------------------
+# the router's resolve builds no Rect
+# ----------------------------------------------------------------------
+
+@contextmanager
+def _rect_constructions():
+    """Count ``Rect`` objects built in this process (the router's side
+    of a fleet; workers run in their own processes)."""
+    built = {"n": 0}
+    original = Rect.__post_init__
+
+    def counted(self):
+        built["n"] += 1
+        original(self)
+
+    with mock.patch.object(Rect, "__post_init__", counted):
+        yield built
+
+
+def _column_bodies():
+    uniform = PrecedenceInstance(
+        [Rect(rid=f"u{i}", width=0.3, height=1.0) for i in range(6)],
+        TaskDAG.chain(
+            [f"u{i}" for i in range(6)]
+        ),
+    )
+    release = ReleaseInstance(
+        [Rect(rid=i, width=0.5, height=0.4, release=0.25 * i) for i in range(8)], K=2
+    )
+    return [
+        ("plain", _body(n=300, seed=118, algorithm="ffdh")),
+        ("release", {"instance": instance_to_dict(release), "algorithm": "release_bl"}),
+        # No algorithm: the default reads the DAG and uniform_height().
+        ("defaulted-precedence", {"instance": instance_to_dict(uniform)}),
+    ]
+
+
+@pytest.mark.parametrize("case", _column_bodies(), ids=lambda case: case[0])
+def test_router_resolve_builds_no_rect(fleet, case):
+    _name, body = case
+    raw = json.dumps(body).encode()
+    with _rect_constructions() as built:
+        first = _post(fleet[1], "/solve", raw)
+        second = _post(fleet[1], "/solve", raw)
+    assert first[0] == second[0] == 200
+    assert second[1]["X-Repro-Cache"] == "hit" and second[2] == first[2]
+    assert built["n"] == 0
+
+
+def test_resolve_builds_rects_only_when_the_solve_reads_them():
+    body = _body(n=50, seed=119)
+    with _rect_constructions() as built:
+        _key, name, params, instance = resolve_solve_request(body)
+        assert built["n"] == 0
+        instance.rects
+        assert built["n"] == 50
+
+
+# ----------------------------------------------------------------------
+# hostile bodies: never a 500
+# ----------------------------------------------------------------------
+
+DEEP_BODIES = [b"[" * 200_000, b'{"a": ' * 100_000, b'{"instance": ' + b"[" * 200_000]
+
+
+@pytest.mark.parametrize("raw", DEEP_BODIES, ids=["array", "object", "nested-instance"])
+def test_deeply_nested_bodies_are_a_400_everywhere(fleet, solo, raw):
+    for srv in (fleet[1], solo):
+        for path in ("/solve", "/portfolio"):
+            status, _, payload = _post(srv, path, raw)
+            assert status == 400, (srv, path, payload)
+            assert json.loads(payload)["error"] == "malformed JSON body: nested too deeply"
+        status, _, created = _post(srv, "/session", {})
+        assert status == 200
+        sid = json.loads(created)["session"]["id"]
+        status, _, payload = _post(srv, f"/session/{sid}/step", raw)
+        assert status == 400, (srv, payload)
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        b'{"type": "plain", "rects": [{"id": 0, "width": 1' + b"0" * 400 + b', "height": 1}]}',
+        b'{"type": "release", "K": Infinity, "rects": [{"id": 0, "width": 0.5, "height": 1}]}',
+    ],
+    ids=["huge-int-width", "infinite-K"],
+)
+def test_overflowing_numbers_are_a_422_not_a_500(fleet, solo, instance):
+    for srv in (fleet[1], solo):
+        status, _, payload = _post(srv, "/solve", b'{"instance": ' + instance + b"}")
+        assert status == 422, payload
+        assert json.loads(payload)["error"].startswith("invalid instance: ")

@@ -15,7 +15,11 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -493,3 +497,42 @@ class TestFleetDrain:
         with pytest.raises(RuntimeError, match="shut down during spawn"):
             handle.spawn(timeout=60)
         assert handle.process is None
+
+
+# ----------------------------------------------------------------------
+# teardown hygiene
+# ----------------------------------------------------------------------
+
+_START_STOP_SCRIPT = '''
+import http.client, json
+from repro.service import InProcessServer, RouterServer
+
+if __name__ == "__main__":
+    with InProcessServer(RouterServer(workers=2)) as srv:
+        for i in range(4):  # distinct keys: both workers get pooled sockets
+            body = {"instance": {"type": "plain", "rects": [
+                {"id": i, "width": 0.5, "height": 1.0}]}, "algorithm": "ffdh"}
+            conn = http.client.HTTPConnection(srv.host, srv.port, timeout=60)
+            conn.request("POST", "/solve", body=json.dumps(body))
+            assert conn.getresponse().read()
+            conn.close()
+    import gc
+    gc.collect()
+    print("stopped")
+'''
+
+
+def test_fleet_start_stop_leaves_no_unclosed_sockets(tmp_path):
+    """The router's pooled keep-alive connections to its workers are
+    closed on shutdown: under ``-X dev`` nothing reports a ResourceWarning."""
+    script = tmp_path / "start_stop.py"
+    script.write_text(_START_STOP_SCRIPT)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", str(script)],
+        capture_output=True, text=True, timeout=180, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "stopped" in proc.stdout
+    assert "ResourceWarning" not in proc.stderr, proc.stderr
